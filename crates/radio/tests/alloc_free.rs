@@ -7,20 +7,37 @@
 //! (allowed here: the lib crate forbids unsafe, integration tests are
 //! separate crates) measures exactly that.
 //!
+//! The test harness runs the tests of this file on parallel threads, so
+//! the allocator counts only allocations made by a thread inside its
+//! own [`measuring`] window; a sibling test allocating at the same time
+//! cannot leak into the count.
+//!
 //! [`WirelessNetwork::advance`]: agentnet_radio::WirelessNetwork::advance
 
 use agentnet_radio::NetworkBuilder;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Wraps the system allocator, counting every allocation.
+/// Wraps the system allocator, counting every allocation and
+/// reallocation the current thread makes while it is measuring.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `Some(count)` while this thread is inside [`measuring`]. A const
+    /// initializer with no destructor: reading it never allocates, so
+    /// the allocator itself may touch it.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_one() {
+    // `try_with` fails only during thread teardown, which is never
+    // inside a measuring window.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -29,9 +46,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
+}
+
+/// Runs `f` and returns how many allocations this thread made during it.
+fn measuring(f: impl FnOnce()) -> u64 {
+    ALLOCATIONS.with(|c| c.set(Some(0)));
+    f();
+    ALLOCATIONS.with(|c| c.replace(None)).unwrap_or(0)
 }
 
 #[global_allocator]
@@ -52,17 +76,35 @@ fn steady_state_advance_performs_zero_heap_allocations() {
     net.advance();
     let version = net.topology_version();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..100 {
-        net.advance();
-    }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = measuring(|| {
+        for _ in 0..100 {
+            net.advance();
+        }
+    });
 
     assert_eq!(
         allocations, 0,
         "steady-state advance must be allocation-free, saw {allocations} allocations"
     );
     assert_eq!(net.topology_version(), version, "stationary topology must not change");
+}
+
+#[test]
+fn measuring_window_counts_this_threads_allocations() {
+    // Guards against a counter that went blind: allocations inside the
+    // window are seen, and ones outside it (or on other threads) are not.
+    let inside = measuring(|| drop(std::hint::black_box(vec![0u8; 64])));
+    assert_eq!(inside, 1);
+    // Warm the runtime's lazily initialised spawn state first, so both
+    // windows below pay exactly the same spawn-side allocations.
+    let _ = std::thread::spawn(|| ()).join();
+    let other_thread = measuring(|| {
+        let _ = std::thread::spawn(|| drop(std::hint::black_box(vec![0u8; 64]))).join();
+    });
+    let spawn_only = measuring(|| {
+        let _ = std::thread::spawn(|| ()).join();
+    });
+    assert_eq!(other_thread, spawn_only, "another thread's allocations must not count");
 }
 
 #[test]
