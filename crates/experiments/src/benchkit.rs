@@ -97,9 +97,9 @@ pub fn run_kernels(opts: BenchOptions, unix_seconds: u64) -> BenchReport {
 /// * `mapping_step` — full [`MappingSim`] steps on the paper graph.
 /// * `route_revalidation` — a forced full [`RouteIndex`] resync plus
 ///   reverse-BFS connectivity on a warmed routing state.
-/// * `shard_rebuild` — a forced full link rebuild (grid + out-rows +
-///   ordered commit) on the 1k scaling preset, sharded across the
-///   machine's cores.
+/// * `shard_rebuild` — a forced full link rebuild (grid + out-row
+///   derivation with inline churn + in-list restore) on the 1k scaling
+///   preset, sharded across the machine's cores.
 /// * `sharded_advance_{1k,10k,100k}` — [`WirelessNetwork::advance`] on
 ///   the scaling presets with sharding at the machine's core count:
 ///   the deterministic parallel step this crate's scaling work targets.

@@ -135,43 +135,47 @@ impl DiGraph {
         self.edge_count = 0;
     }
 
-    /// Replaces the entire edge set from per-source sorted out-neighbour
-    /// rows, reusing adjacency storage — the bulk counterpart of
-    /// repeated [`DiGraph::add_edge`] calls for callers (like the
-    /// sharded link rebuild) that already produced each node's
-    /// out-list. Walking the rows in ascending source order makes every
-    /// rebuilt in-list come out sorted without any binary search: one
-    /// `O(E)` pass instead of `O(E log d)`.
+    /// Replaces the entire edge set by letting `fill` rewrite every
+    /// node's out-list in place, then restores the in-lists and the edge
+    /// count from the rows it left — the bulk counterpart of repeated
+    /// [`DiGraph::add_edge`] calls for callers (like the link rebuild)
+    /// that derive each node's out-list directly.
     ///
-    /// `rows[i]` must be strictly sorted by id, free of self-loops, and
-    /// reference only nodes `< node_count()`.
+    /// `fill` receives one row per node, still holding the previous
+    /// out-lists so their storage is reused; it may clear and refill
+    /// them in any order, or split the slice into disjoint chunks for
+    /// parallel derivation. Its result is passed through. The graph is
+    /// borrowed for the whole call, so no caller can observe the rows
+    /// rewritten but the in-lists not yet restored. Walking the rows in
+    /// ascending source order makes every rebuilt in-list come out
+    /// sorted without any binary search: one `O(E)` pass instead of
+    /// `O(E log d)`.
+    ///
+    /// Every row `fill` leaves must be strictly sorted by id, free of
+    /// self-loops, and reference only nodes `< node_count()`.
     ///
     /// # Panics
     ///
-    /// Panics if `rows.len() != node_count()` or a row references an
-    /// out-of-range node; row ordering and self-loop freedom are
-    /// debug-asserted.
-    pub fn set_sorted_out_rows(&mut self, rows: &[Vec<NodeId>]) {
-        assert_eq!(rows.len(), self.out.len(), "row count must match node count");
+    /// Panics if a row references an out-of-range node; row ordering
+    /// and self-loop freedom are debug-asserted.
+    pub fn replace_out_rows<R>(&mut self, fill: impl FnOnce(&mut [Vec<NodeId>]) -> R) -> R {
+        let result = fill(&mut self.out);
         for l in &mut self.inn {
             l.clear();
         }
         let mut count = 0usize;
-        for (out, row) in self.out.iter_mut().zip(rows) {
+        for (i, row) in self.out.iter().enumerate() {
             debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "out rows must be strictly sorted");
-            out.clear();
-            out.extend_from_slice(row);
-            count += row.len();
-        }
-        for (i, row) in rows.iter().enumerate() {
             let from = NodeId::new(i);
             for &to in row {
                 debug_assert_ne!(from, to, "self-loops are not representable");
-                assert!(to.index() < self.out.len(), "edge target {to} out of range");
+                assert!(to.index() < self.inn.len(), "edge target {to} out of range");
                 self.inn[to.index()].push(from);
             }
+            count += row.len();
         }
         self.edge_count = count;
+        result
     }
 
     /// Returns `true` if the edge `from -> to` exists.
@@ -471,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn set_sorted_out_rows_matches_incremental_build() {
+    fn replace_out_rows_matches_incremental_build() {
         let edges = [(0, 3), (0, 1), (3, 0), (5, 1), (1, 2), (2, 1), (4, 2)];
         let mut incremental = DiGraph::new(6);
         let mut rows: Vec<Vec<NodeId>> = vec![Vec::new(); 6];
@@ -485,33 +489,52 @@ mod tests {
         let mut bulk = DiGraph::new(6);
         // Pre-populate with garbage to prove the rows replace, not merge.
         bulk.add_edge(n(2), n(5));
-        bulk.set_sorted_out_rows(&rows);
+        bulk.add_edge(n(5), n(0));
+        let seen = bulk.replace_out_rows(|out| {
+            let seen: Vec<usize> = out.iter().map(Vec::len).collect();
+            for (slot, row) in out.iter_mut().zip(&rows) {
+                slot.clear();
+                slot.extend_from_slice(row);
+            }
+            seen
+        });
+        assert_eq!(seen, vec![0, 0, 1, 0, 0, 1], "fill must see the previous out-lists");
         assert_eq!(bulk, incremental);
         assert_eq!(bulk.check_consistency(), Ok(()));
         assert_eq!(bulk.edge_count(), edges.len());
     }
 
     #[test]
-    fn set_sorted_out_rows_clears_on_empty_rows() {
+    fn replace_out_rows_accepts_disjoint_chunks() {
+        let mut g = DiGraph::new(5);
+        g.replace_out_rows(|out| {
+            for (k, chunk) in out.chunks_mut(2).enumerate() {
+                for (local, row) in chunk.iter_mut().enumerate() {
+                    let i = 2 * k + local;
+                    row.extend((0..5).filter(|&j| j != i && (i + j) % 2 == 1).map(n));
+                }
+            }
+        });
+        assert_eq!(g.check_consistency(), Ok(()));
+        assert_eq!(g.edge_count(), 12);
+        assert_eq!(g.in_neighbors(n(1)), &[n(0), n(2), n(4)]);
+    }
+
+    #[test]
+    fn replace_out_rows_clears_on_empty_rows() {
         let mut g = DiGraph::new(3);
         g.add_edge(n(0), n(1));
-        g.set_sorted_out_rows(&[Vec::new(), Vec::new(), Vec::new()]);
+        g.replace_out_rows(|out| out.iter_mut().for_each(Vec::clear));
         assert_eq!(g.edge_count(), 0);
+        assert!(g.in_neighbors(n(1)).is_empty());
         assert_eq!(g.check_consistency(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "row count")]
-    fn set_sorted_out_rows_rejects_wrong_row_count() {
-        let mut g = DiGraph::new(3);
-        g.set_sorted_out_rows(&[Vec::new()]);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
-    fn set_sorted_out_rows_rejects_out_of_range_target() {
+    fn replace_out_rows_rejects_out_of_range_target() {
         let mut g = DiGraph::new(2);
-        g.set_sorted_out_rows(&[vec![n(7)], Vec::new()]);
+        g.replace_out_rows(|out| out[0].push(n(7)));
     }
 
     #[test]

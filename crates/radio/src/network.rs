@@ -106,10 +106,6 @@ pub struct WirelessNetwork {
     /// Double buffer: links are rebuilt into this graph (reusing its edge
     /// storage) and swapped in only when the topology actually changed.
     scratch_links: DiGraph,
-    /// Per-node out-neighbour rows the rebuild derives (possibly across
-    /// shards in parallel) before the single ordered commit into
-    /// `scratch_links`; reused across rebuilds.
-    out_rows: Vec<Vec<NodeId>>,
     /// Number of contiguous column shards [`Self::advance`] steps in
     /// parallel; 1 (the default) runs the sequential in-place path.
     advance_shards: usize,
@@ -170,7 +166,6 @@ impl WirelessNetwork {
             snap_positions: Vec::new(),
             snap_ranges: Vec::new(),
             scratch_links: DiGraph::new(n),
-            out_rows: Vec::new(),
             advance_shards: 1,
             grid_incremental: true,
             scratch_moved: Vec::new(),
@@ -304,10 +299,11 @@ impl WirelessNetwork {
 
     /// Sets the shard count used by [`Self::advance`] (clamped to at
     /// least 1). Results are bitwise identical for **every** value:
-    /// per-node RNG streams travel with their columns and the link
-    /// commit is a single ordered merge, so sharding changes wall-clock
-    /// time only — `topology_version`, [`NetStats`] and all reports
-    /// stay byte-for-byte equal to the sequential path.
+    /// per-node RNG streams travel with their columns, each out-row
+    /// depends only on the frozen snapshot, and per-shard churn counts
+    /// are summed, so sharding changes wall-clock time only —
+    /// `topology_version`, [`NetStats`] and all reports stay
+    /// byte-for-byte equal to the sequential path.
     pub fn set_advance_shards(&mut self, shards: usize) {
         self.advance_shards = shards.max(1);
     }
@@ -333,12 +329,13 @@ impl WirelessNetwork {
     /// The refresh is incremental: if no node's position or effective
     /// range changed since the last computation (the mapping study's
     /// all-stationary mains networks, or any quiescent stretch), the link
-    /// table is kept as-is without touching the heap; otherwise the graph
-    /// is rebuilt into a reused double buffer and swapped in only when
-    /// the edge set actually differs. With [`Self::set_advance_shards`]
-    /// above 1 both the node step and the out-row derivation run on
-    /// contiguous column shards in parallel, followed by the same
-    /// ordered commit as the sequential path.
+    /// table is kept as-is without touching the heap. Otherwise every
+    /// out-row is derived straight into a reused double buffer, the
+    /// links it formed and broke are counted against the current row as
+    /// it is written, and the buffer is swapped in only when that count
+    /// is non-zero. With [`Self::set_advance_shards`] above 1 both the
+    /// node step and the row derivation run on contiguous column shards
+    /// in parallel.
     #[agentnet::hot_path]
     pub fn advance(&mut self) {
         self.stats.advances += 1;
@@ -440,12 +437,11 @@ impl WirelessNetwork {
     }
 
     /// Recomputes the link graph from current node state into the scratch
-    /// buffer (reusing grid buckets, out-row scratch and adjacency
-    /// storage), refreshes the drift snapshots, and swaps the result in
-    /// if the topology changed. The out-row derivation may fan out over
-    /// shards; everything from the row commit on is a single ordered
-    /// sequential phase, which is what keeps `topology_version` and the
-    /// stats byte-identical across shard counts.
+    /// buffer (reusing grid storage and adjacency storage), refreshes
+    /// the drift snapshots, and swaps the result in if any link formed
+    /// or broke. Rows and their churn counts do not depend on how the
+    /// derivation is sharded, which is what keeps `topology_version` and
+    /// the stats byte-identical across shard counts.
     #[agentnet::hot_path]
     fn rebuild_links(&mut self) {
         self.snap_ranges.clear();
@@ -480,13 +476,11 @@ impl WirelessNetwork {
         }
         self.snap_positions.clear();
         self.snap_positions.extend_from_slice(&self.positions);
-        self.derive_out_rows();
-        self.scratch_links.set_sorted_out_rows(&self.out_rows);
+        let (formed, broken) = self.derive_links();
         self.stats.link_rebuilds += 1;
-        if self.scratch_links != self.links {
-            // Per-link churn accounting happens only on the (already
-            // O(E)-compared) changed topologies, never on quiescent steps.
-            let (formed, broken) = Self::edge_diff(&self.scratch_links, &self.links);
+        // Rows are sets, so the edge sets differ exactly when some link
+        // formed or broke.
+        if formed + broken > 0 {
             self.stats.links_formed += formed;
             self.stats.links_broken += broken;
             std::mem::swap(&mut self.scratch_links, &mut self.links);
@@ -537,92 +531,87 @@ impl WirelessNetwork {
         self.grid.flat_cells()
     }
 
-    /// Derives every node's sorted out-neighbour row into the reused
-    /// `out_rows` scratch, fanning out over contiguous shards when
-    /// configured. Row `i` depends only on the (frozen) snapshot and the
-    /// grid, so the partition cannot change any row's content.
+    /// Derives every node's out-row straight into `scratch_links`,
+    /// fanning out over disjoint contiguous row chunks when configured,
+    /// and returns the links formed and broken relative to `links`.
     #[agentnet::hot_path]
-    fn derive_out_rows(&mut self) {
+    fn derive_links(&mut self) -> (u64, u64) {
         let n = self.snap_positions.len();
-        if self.out_rows.len() != n {
-            // Warm-up only: rows are reused across rebuilds.
-            // agentlint::allow(no-alloc-in-hot-path)
-            self.out_rows.resize_with(n, Vec::new);
-        }
         let shards = self.advance_shards.min(n).max(1);
-        if shards <= 1 {
-            Self::fill_rows(
-                &self.grid,
-                &self.snap_positions,
-                &self.snap_positions,
-                &self.snap_ranges,
-                0,
-                &mut self.out_rows,
-            );
-        } else {
-            self.derive_out_rows_sharded(shards);
-        }
-    }
-
-    /// Parallel out-row derivation over disjoint contiguous row chunks.
-    fn derive_out_rows_sharded(&mut self, shards: usize) {
-        let n = self.snap_positions.len();
-        let chunk = n.div_ceil(shards);
         let grid = &self.grid;
-        let all = &self.snap_positions;
-        std::thread::scope(|scope| {
-            for (k, ((pos, ranges), rows)) in all
-                .chunks(chunk)
-                .zip(self.snap_ranges.chunks(chunk))
-                .zip(self.out_rows.chunks_mut(chunk))
-                .enumerate()
-            {
-                scope.spawn(move || Self::fill_rows(grid, all, pos, ranges, k * chunk, rows));
+        let positions = &self.snap_positions;
+        let ranges = &self.snap_ranges;
+        let old = &self.links;
+        self.scratch_links.replace_out_rows(|rows| {
+            if shards <= 1 {
+                Self::derive_rows(grid, positions, ranges, old, 0, rows)
+            } else {
+                Self::derive_rows_sharded(grid, positions, ranges, old, rows, shards)
             }
-        });
+        })
     }
 
-    /// Fills the out-neighbour rows for nodes `offset..offset +
-    /// positions.len()`: grid candidates filtered by the exact
-    /// effective-range disc, sorted by id. Identical float math to the
-    /// sequential per-edge test, so rows are bitwise partition-invariant.
-    #[agentnet::hot_path]
-    fn fill_rows(
+    /// [`Self::derive_rows`] over `shards` disjoint contiguous row
+    /// chunks in parallel; the per-shard churn counts are summed.
+    fn derive_rows_sharded(
         grid: &SpatialGrid,
-        all_positions: &[Point2],
         positions: &[Point2],
         ranges: &[f64],
-        offset: usize,
+        old: &DiGraph,
         rows: &mut [Vec<NodeId>],
-    ) {
-        for (local, ((&p, &r), row)) in positions.iter().zip(ranges).zip(rows).enumerate() {
-            let i = offset + local;
-            let r_sq = r * r;
-            row.clear();
-            for j in grid.candidates_within(p, r) {
-                let covered =
-                    j != i && all_positions.get(j).is_some_and(|&q| p.distance_sq(q) <= r_sq);
-                if covered {
-                    row.push(NodeId::new(j));
-                }
+        shards: usize,
+    ) -> (u64, u64) {
+        let chunk = positions.len().div_ceil(shards);
+        let mut churn = vec![(0u64, 0u64); shards];
+        std::thread::scope(|scope| {
+            for (k, (((pos, rs), rows), c)) in positions
+                .chunks(chunk)
+                .zip(ranges.chunks(chunk))
+                .zip(rows.chunks_mut(chunk))
+                .zip(&mut churn)
+                .enumerate()
+            {
+                scope.spawn(move || *c = Self::derive_rows(grid, pos, rs, old, k * chunk, rows));
             }
-            row.sort_unstable();
-        }
+        });
+        churn.iter().fold((0, 0), |(f, b), &(df, db)| (f + df, b + db))
     }
 
-    /// Directed edges present in `new` but not `old`, and vice versa.
-    /// Neighbor lists are short (a node covers a handful of peers), so
-    /// the per-node quadratic membership scan beats sorting or hashing —
-    /// and allocates nothing.
-    fn edge_diff(new: &DiGraph, old: &DiGraph) -> (u64, u64) {
-        let mut formed = 0u64;
-        let mut broken = 0u64;
-        for i in 0..new.node_count() {
-            let v = NodeId::new(i);
-            let after = new.out_neighbors(v);
-            let before = old.out_neighbors(v);
-            formed += after.iter().filter(|n| !before.contains(n)).count() as u64;
-            broken += before.iter().filter(|n| !after.contains(n)).count() as u64;
+    /// Writes the out-rows of nodes `offset..offset + positions.len()`:
+    /// every point inside the node's effective-range disc except the
+    /// node itself, sorted by id. Each row is merged against the same
+    /// row of `old` as it is written, counting the links it formed and
+    /// broke. A row depends only on the frozen snapshot and the grid,
+    /// so any partition yields identical rows and counts.
+    #[agentnet::hot_path]
+    fn derive_rows(
+        grid: &SpatialGrid,
+        positions: &[Point2],
+        ranges: &[f64],
+        old: &DiGraph,
+        offset: usize,
+        rows: &mut [Vec<NodeId>],
+    ) -> (u64, u64) {
+        let (mut formed, mut broken) = (0u64, 0u64);
+        for (local, ((&p, &r), row)) in positions.iter().zip(ranges).zip(rows).enumerate() {
+            let i = offset + local;
+            row.clear();
+            grid.for_each_within(p, r, |j| {
+                if j != i {
+                    row.push(NodeId::new(j));
+                }
+            });
+            row.sort_unstable();
+            let mut before = old.out_neighbors(NodeId::new(i)).iter().peekable();
+            for to in row.iter() {
+                while before.next_if(|&b| b < to).is_some() {
+                    broken += 1;
+                }
+                if before.next_if_eq(&to).is_none() {
+                    formed += 1;
+                }
+            }
+            broken += before.count() as u64;
         }
         (formed, broken)
     }
