@@ -1,4 +1,4 @@
-//! Deterministic time-step / discrete-event simulation engine.
+//! Deterministic time-step simulation engine.
 //!
 //! This crate is the paper's "2000/3000 lines of Java ... discrete event
 //! scheduler, data-collection system" substrate, rebuilt as a reusable Rust
@@ -9,8 +9,6 @@
 //! * [`invariant`] — per-step invariant checking: an [`Invariant`]
 //!   registry the checked driver [`run_until_checked`] threads through
 //!   every simulation step (opt-in; the plain driver is untouched).
-//! * [`events`] — a deterministic discrete-event queue (time plus insertion
-//!   sequence ordering) for event-driven extensions.
 //! * [`rng`] — reproducible random-number streams: a master seed fans out
 //!   into independent per-run / per-component streams.
 //! * [`timeseries`] — per-step metric recording with windowed statistics
@@ -30,7 +28,6 @@
 //! * [`perf`] — the micro-benchmark harness behind `repro bench`:
 //!   warmup/measure kernel timing, `BENCH_<date>.json` reports, and the
 //!   calibration-normalized regression gate.
-//! * [`sweep`] — parameter sweeps producing labelled result rows.
 //! * [`table`] — markdown / CSV / JSON emission of result tables.
 //! * [`plot`] — terminal sparklines and block charts of time series.
 //!
@@ -55,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod events;
 pub mod exec;
 pub mod invariant;
 pub mod obs;
@@ -65,7 +61,6 @@ pub mod replicate;
 pub mod rng;
 pub mod sim;
 pub mod stats;
-pub mod sweep;
 pub mod table;
 pub mod timeseries;
 

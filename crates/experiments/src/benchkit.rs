@@ -38,17 +38,7 @@ const SCALED_KERNELS: &[(&str, usize, u64)] = &[
     ("sharded_advance_100k", 100_000, 1),
 ];
 
-/// Grid-only kernel names, in suite order. These time the spatial index
-/// directly on synthetic preset-density scatters — no network build, so
-/// even the 1M rebuild is cheap to set up and runs in the default suite.
-const GRID_KERNEL_NAMES: &[&str] = &[
-    "grid_rebuild_single_100k",
-    "grid_rebuild_sharded_100k",
-    "grid_rebuild_sharded_1m",
-    "grid_incremental_100k",
-];
-
-/// Cell size for the grid kernels: the scaled presets' pinned base
+/// Cell size for the grid kernel: the scaled presets' pinned base
 /// radio range, i.e. the cell size the network layer derives.
 const GRID_CELL: f64 = 101.0;
 
@@ -67,7 +57,7 @@ pub fn kernel_names() -> Vec<&'static str> {
         "shard_rebuild",
     ];
     names.extend(SCALED_KERNELS.iter().map(|&(name, _, _)| name));
-    names.extend(GRID_KERNEL_NAMES);
+    names.push("grid_rebuild_single_100k");
     names
 }
 
@@ -103,17 +93,9 @@ pub fn run_kernels(opts: BenchOptions, unix_seconds: u64) -> BenchReport {
 /// * `sharded_advance_{1k,10k,100k}` — [`WirelessNetwork::advance`] on
 ///   the scaling presets with sharding at the machine's core count:
 ///   the deterministic parallel step this crate's scaling work targets.
-/// * `grid_rebuild_single_100k` / `grid_rebuild_sharded_100k` — the
-///   spatial grid's from-scratch re-index over a 100k preset-density
-///   scatter, sequential vs sharded across the machine's cores (at
-///   least 2): the pair that shows the sharded rebuild's wall-clock
-///   win on multi-core machines.
-/// * `grid_rebuild_sharded_1m` — the same sharded re-index at 1M
-///   points: the million-node ambition's serial bottleneck in
-///   isolation.
-/// * `grid_incremental_100k` — the incremental splice with 1% of 100k
-///   points oscillating half a cell: the low-mobility fast path that
-///   replaces both full rebuilds above.
+/// * `grid_rebuild_single_100k` — the spatial grid's counting-sort
+///   re-index over a 100k preset-density scatter, in isolation: no
+///   network build, so it is cheap to set up.
 ///
 /// [`WirelessNetwork::advance`]: agentnet_radio::WirelessNetwork::advance
 pub fn run_kernels_matching(
@@ -226,11 +208,8 @@ pub fn run_kernels_matching(
     let shards = machine_shards();
 
     if keep("shard_rebuild") {
-        // Incremental maintenance off: back-to-back refreshes with no
-        // movement would otherwise splice zero nodes and time nothing.
         let mut net = NetworkBuilder::preset_1k()
             .advance_shards(shards)
-            .grid_incremental(false)
             .build(TOPOLOGY_SEED)
             .expect("1k scaling preset must build");
         report.kernels.push(time_kernel("shard_rebuild", opts, || {
@@ -256,46 +235,12 @@ pub fn run_kernels_matching(
         }));
     }
 
-    // Grid-only kernels: the spatial re-index in isolation, at preset
-    // density. The single/sharded 100k pair measures the sharded
-    // rebuild's win over the sequential counting sort (equal on a
-    // single-core machine); the incremental kernel times the 1%-moved
-    // splice the low-mobility regime takes instead of either.
-    for (name, nodes, kernel_shards) in [
-        ("grid_rebuild_single_100k", 100_000, 1),
-        ("grid_rebuild_sharded_100k", 100_000, shards.max(2)),
-        ("grid_rebuild_sharded_1m", 1_000_000, shards.max(2)),
-    ] {
-        if !keep(name) {
-            continue;
-        }
-        let (arena, pts) = grid_points(nodes);
+    if keep("grid_rebuild_single_100k") {
+        let (arena, pts) = grid_points(100_000);
         let mut grid = SpatialGrid::build(arena, GRID_CELL, &pts).expect("finite grid geometry");
-        report.kernels.push(time_kernel(name, opts, || {
-            grid.rebuild_sharded(arena, GRID_CELL, &pts, kernel_shards)
-                .expect("finite grid geometry");
+        report.kernels.push(time_kernel("grid_rebuild_single_100k", opts, || {
+            grid.rebuild(arena, GRID_CELL, &pts).expect("finite grid geometry");
             black_box(grid.cell_count());
-        }));
-    }
-
-    if keep("grid_incremental_100k") {
-        let (arena, mut pts) = grid_points(100_000);
-        let mut grid = SpatialGrid::build(arena, GRID_CELL, &pts).expect("finite grid geometry");
-        // 1% of the points oscillate half a cell each iteration — under
-        // the network layer's incremental budget, crossing cell borders
-        // for roughly half the movers.
-        let moved: Vec<usize> = (0..pts.len()).step_by(100).collect();
-        let mut offset = 0.5 * GRID_CELL;
-        report.kernels.push(time_kernel("grid_incremental_100k", opts, || {
-            for &i in &moved {
-                if let Some(p) = pts.get_mut(i) {
-                    p.x += offset;
-                }
-            }
-            offset = -offset;
-            let applied = grid.incremental_update(arena, GRID_CELL, &pts, &moved);
-            debug_assert!(applied, "incremental precondition must hold in the kernel");
-            black_box(applied);
         }));
     }
 
@@ -327,13 +272,10 @@ mod tests {
     use super::*;
 
     /// The largest workloads are excluded here: building the 10k/100k
-    /// networks or scattering a million grid points in a debug-profile
-    /// unit test costs tens of seconds without exercising any wiring
-    /// the smaller kernels don't.
+    /// networks in a debug-profile unit test costs tens of seconds
+    /// without exercising any wiring the smaller kernels don't.
     fn debug_sized(name: &str) -> bool {
-        name != "sharded_advance_10k"
-            && name != "sharded_advance_100k"
-            && name != "grid_rebuild_sharded_1m"
+        name != "sharded_advance_10k" && name != "sharded_advance_100k"
     }
 
     #[test]
@@ -355,8 +297,6 @@ mod tests {
                 "shard_rebuild",
                 "sharded_advance_1k",
                 "grid_rebuild_single_100k",
-                "grid_rebuild_sharded_100k",
-                "grid_incremental_100k",
             ]
         );
         for k in &report.kernels {

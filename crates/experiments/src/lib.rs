@@ -253,7 +253,6 @@ impl<'a> Ctx<'a> {
             m.counter_add("radio_links_broken_total", s.links_broken);
             m.counter_add("radio_battery_decay_steps_total", s.battery_decay_steps);
             m.counter_add("radio_grid_cell_clamps_total", s.grid_cell_clamps);
-            m.counter_add("radio_grid_incremental_total", s.grid_incremental_updates);
             // Gauge, not counter: the shard count is configuration. A
             // nonzero clamp counter or an unexpected shard gauge in a
             // repro artifact flags a run whose spatial index degraded
@@ -294,7 +293,6 @@ impl<'a> Ctx<'a> {
             m.counter_add("radio_links_broken_total", s.links_broken);
             m.counter_add("radio_battery_decay_steps_total", s.battery_decay_steps);
             m.counter_add("radio_grid_cell_clamps_total", s.grid_cell_clamps);
-            m.counter_add("radio_grid_incremental_total", s.grid_incremental_updates);
             m.gauge_set("radio_advance_shards", sim.network().advance_shards() as f64);
         }
     }

@@ -252,7 +252,7 @@ fn bench_filter_matching_no_kernel_is_a_hard_error() {
     let err = String::from_utf8_lossy(&run.stderr);
     assert!(err.contains("--filter no_such_kernel matches no kernel"), "stderr:\n{err}");
     assert!(err.contains("known kernels:"), "stderr must list the suite:\n{err}");
-    assert!(err.contains("grid_rebuild_sharded_100k"), "stderr:\n{err}");
+    assert!(err.contains("grid_rebuild_single_100k"), "stderr:\n{err}");
 
     // One bogus filter among valid ones still fails — the valid matches
     // must not mask the dead pattern.

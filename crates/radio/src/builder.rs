@@ -72,7 +72,6 @@ pub struct NetworkBuilder {
     max_retries: usize,
     base_range: Option<f64>,
     advance_shards: usize,
-    grid_incremental: bool,
 }
 
 impl NetworkBuilder {
@@ -95,7 +94,6 @@ impl NetworkBuilder {
             max_retries: 64,
             base_range: None,
             advance_shards: 1,
-            grid_incremental: true,
         }
     }
 
@@ -140,7 +138,9 @@ impl NetworkBuilder {
     /// million-node arena (~63.2 km side, ~394k grid cells at the
     /// pinned 101 m range, well under the grid's clamp ceiling). Build
     /// and stepping are linear-memory; pair with
-    /// [`Self::advance_shards`] for multi-core stepping.
+    /// [`Self::advance_shards`] to run the node step and the out-row
+    /// derivation on several cores (the grid re-index stays one
+    /// sequential counting sort).
     pub fn preset_1m() -> Self {
         NetworkBuilder::scaled_preset(1_000_000)
     }
@@ -227,16 +227,6 @@ impl NetworkBuilder {
     /// [`WirelessNetwork::set_advance_shards`].
     pub fn advance_shards(mut self, shards: usize) -> Self {
         self.advance_shards = shards;
-        self
-    }
-
-    /// Whether the built network may refresh its spatial grid
-    /// incrementally when few nodes move per step (default `true`).
-    /// Grid contents and links are byte-identical either way; see
-    /// [`WirelessNetwork::set_grid_incremental`]. Disable to bench the
-    /// from-scratch re-index in isolation.
-    pub fn grid_incremental(mut self, enabled: bool) -> Self {
-        self.grid_incremental = enabled;
         self
     }
 
@@ -410,7 +400,6 @@ impl NetworkBuilder {
             .collect();
         let mut net = WirelessNetwork::from_nodes(self.arena, nodes, mobility_seed);
         net.set_advance_shards(self.advance_shards);
-        net.set_grid_incremental(self.grid_incremental);
         net
     }
 }
@@ -664,14 +653,6 @@ mod tests {
             NetworkBuilder::new(5).arena(arena).build(0),
             Err(BuildError::InvalidParameter { .. })
         ));
-    }
-
-    #[test]
-    fn grid_incremental_knob_reaches_the_network() {
-        let on = NetworkBuilder::new(10).build(3).unwrap();
-        assert!(on.grid_incremental());
-        let off = NetworkBuilder::new(10).grid_incremental(false).build(3).unwrap();
-        assert!(!off.grid_incremental());
     }
 
     /// Full 1M-node end-to-end check: build the preset, step it, and

@@ -55,6 +55,6 @@ pub mod spatial;
 pub use battery::{BatteryModel, BatteryState};
 pub use builder::{BuildError, NetworkBuilder};
 pub use mobility::{MobilityKind, Motion};
-pub use network::{NetStats, WirelessNetwork, GRID_INCREMENTAL_MAX_MOVED};
+pub use network::{NetStats, WirelessNetwork};
 pub use node::{NodeKind, WirelessNode};
 pub use spatial::{GridError, SpatialGrid};

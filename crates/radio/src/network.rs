@@ -44,18 +44,14 @@ pub struct NetStats {
     /// [`SpatialGrid::clamp_events`]) — nonzero means queries are
     /// paying for an extent/range ratio the grid couldn't honour.
     pub grid_cell_clamps: u64,
-    /// Link rebuilds that refreshed the spatial grid incrementally
-    /// (moving only the nodes that changed cell) instead of re-indexing
-    /// from scratch — the low-mobile-fraction fast path. `serde(default)`
-    /// keeps stats serialized before this counter existed readable.
+    /// Retained at zero: it counted incremental spatial-grid refreshes,
+    /// a path that no longer exists (every link rebuild re-indexes the
+    /// grid with one counting sort). The field stays so code that builds
+    /// or reads `NetStats` field by field keeps compiling; `serde(default)`
+    /// keeps stats serialized before it existed readable.
     #[serde(default)]
     pub grid_incremental_updates: u64,
 }
-
-/// Largest fraction of nodes that may move in one step for the link
-/// rebuild to refresh the spatial grid incrementally; above it, moving
-/// nodes one-by-one loses to the sharded from-scratch re-index.
-pub const GRID_INCREMENTAL_MAX_MOVED: f64 = 0.05;
 
 /// A wireless ad-hoc network whose topology is re-derived from node
 /// positions, battery charge and radio ranges every step.
@@ -109,14 +105,6 @@ pub struct WirelessNetwork {
     /// Number of contiguous column shards [`Self::advance`] steps in
     /// parallel; 1 (the default) runs the sequential in-place path.
     advance_shards: usize,
-    /// Whether link rebuilds may refresh the grid incrementally when few
-    /// nodes moved (on by default). The grid contents — and therefore
-    /// links, `topology_version`, and every report — are byte-identical
-    /// either way; only rebuild cost changes.
-    grid_incremental: bool,
-    /// Reused scratch: indices of nodes that moved since the last link
-    /// computation, for the incremental grid path.
-    scratch_moved: Vec<usize>,
     /// Cumulative substrate event counters since construction.
     stats: NetStats,
 }
@@ -167,8 +155,6 @@ impl WirelessNetwork {
             snap_ranges: Vec::new(),
             scratch_links: DiGraph::new(n),
             advance_shards: 1,
-            grid_incremental: true,
-            scratch_moved: Vec::new(),
             stats: NetStats::default(),
         };
         if n > 0 {
@@ -308,21 +294,6 @@ impl WirelessNetwork {
         self.advance_shards = shards.max(1);
     }
 
-    /// Whether link rebuilds may refresh the spatial grid incrementally
-    /// when at most [`GRID_INCREMENTAL_MAX_MOVED`] of the nodes moved.
-    pub fn grid_incremental(&self) -> bool {
-        self.grid_incremental
-    }
-
-    /// Enables or disables incremental grid maintenance. Grid contents,
-    /// links, `topology_version` and every report are byte-identical
-    /// either way (differential-tested); only the rebuild cost — and the
-    /// `grid_incremental_updates` counter — changes. Disable to bench
-    /// the from-scratch re-index in isolation.
-    pub fn set_grid_incremental(&mut self, enabled: bool) {
-        self.grid_incremental = enabled;
-    }
-
     /// Advances the network one time step: batteries decay, mobile nodes
     /// move, and the link table is refreshed.
     ///
@@ -451,28 +422,17 @@ impl WirelessNetwork {
         let max_range = self.snap_ranges.iter().fold(0.0f64, |a, &b| a.max(b)).max(1e-9);
         // Cell size of the max range keeps candidate sets tight while the
         // 3x3 cell neighbourhood of a query still covers the whole disc.
-        //
-        // Incremental path: when few nodes moved since the last link
-        // computation (diffed against the still-unrefreshed snapshot),
-        // the grid moves just those nodes between cells. The grid
-        // refuses when geometry changed (cell size follows `max_range`,
-        // so any battery decay forces a full re-index) or the grid is in
-        // a clamped regime, keeping contents and clamp accounting
-        // byte-identical to the from-scratch path.
-        if !self.try_incremental_grid(max_range) {
-            let shards = self.advance_shards.min(self.positions.len()).max(1);
-            match self.grid.rebuild_sharded(self.arena, max_range, &self.positions, shards) {
-                Ok(clamped) => {
-                    if clamped {
-                        self.stats.grid_cell_clamps += 1;
-                    }
+        match self.grid.rebuild(self.arena, max_range, &self.positions) {
+            Ok(clamped) => {
+                if clamped {
+                    self.stats.grid_cell_clamps += 1;
                 }
-                // Documented panic: construction validated the arena
-                // finite and `max_range` is clamped positive above, so
-                // degenerate geometry cannot reach a live network.
-                // agentlint::allow(no-panic-in-kernel)
-                Err(e) => panic!("grid rebuild on live network: {e}"),
             }
+            // Documented panic: construction validated the arena finite
+            // and `max_range` is clamped positive above, so degenerate
+            // geometry cannot reach a live network.
+            // agentlint::allow(no-panic-in-kernel)
+            Err(e) => panic!("grid rebuild on live network: {e}"),
         }
         self.snap_positions.clear();
         self.snap_positions.extend_from_slice(&self.positions);
@@ -489,44 +449,10 @@ impl WirelessNetwork {
         }
     }
 
-    /// Attempts the incremental grid refresh: diffs current positions
-    /// against the last snapshot, and if at most
-    /// [`GRID_INCREMENTAL_MAX_MOVED`] of the nodes moved, asks the grid
-    /// to splice exactly those. Returns `false` (grid untouched) when
-    /// disabled, too many nodes moved, or the grid declined — the caller
-    /// falls back to the full sharded re-index.
-    #[agentnet::hot_path]
-    fn try_incremental_grid(&mut self, max_range: f64) -> bool {
-        if !self.grid_incremental || self.positions.len() != self.snap_positions.len() {
-            return false;
-        }
-        // agentlint::allow(no-lossy-cast) — fraction of a node count.
-        let budget = (self.positions.len() as f64 * GRID_INCREMENTAL_MAX_MOVED) as usize;
-        self.scratch_moved.clear();
-        for (i, (p, old)) in self.positions.iter().zip(&self.snap_positions).enumerate() {
-            if p != old {
-                if self.scratch_moved.len() == budget {
-                    return false;
-                }
-                self.scratch_moved.push(i);
-            }
-        }
-        let applied = self.grid.incremental_update(
-            self.arena,
-            max_range,
-            &self.positions,
-            &self.scratch_moved,
-        );
-        if applied {
-            self.stats.grid_incremental_updates += 1;
-        }
-        applied
-    }
-
     /// Flat CSR cell arrays `(starts, entries)` of the cached spatial
     /// grid — see [`SpatialGrid::flat_cells`]. Exposed so differential
     /// tests and the validation battery can pin grid contents
-    /// byte-identical across shard counts and maintenance paths.
+    /// byte-identical across shard counts.
     pub fn grid_cells(&self) -> (&[u32], &[u32]) {
         self.grid.flat_cells()
     }
@@ -724,56 +650,6 @@ mod tests {
             net.advance();
         }
         assert!(net.links().has_edge(NodeId::new(0), NodeId::new(1)));
-    }
-
-    #[test]
-    fn incremental_grid_path_engages_and_matches_full_rebuild() {
-        // One mobile node out of 100 (1% < GRID_INCREMENTAL_MAX_MOVED),
-        // mains power everywhere so the cell size never drifts: the
-        // incremental path must engage, and the resulting grid, links
-        // and topology must match an incremental-disabled twin exactly.
-        let build = |incremental: bool| {
-            NetworkBuilder::new(100)
-                .gateways(4)
-                .mobile_fraction(0.01)
-                .mobile_battery(BatteryModel::Mains)
-                .min_initial_reachability(0.0)
-                .grid_incremental(incremental)
-                .build(11)
-                .unwrap()
-        };
-        let mut with_inc = build(true);
-        let mut without = build(false);
-        for _ in 0..20 {
-            with_inc.advance();
-            without.advance();
-            assert_eq!(with_inc.grid_cells(), without.grid_cells());
-            assert_eq!(with_inc.links(), without.links());
-            assert_eq!(with_inc.topology_version(), without.topology_version());
-        }
-        let stats = with_inc.stats();
-        assert!(
-            stats.grid_incremental_updates > 0,
-            "1% mobility under mains power must take the incremental grid path"
-        );
-        assert_eq!(without.stats().grid_incremental_updates, 0);
-        assert_eq!(stats.grid_cell_clamps, 0);
-    }
-
-    #[test]
-    fn high_mobility_falls_back_to_full_rebuilds() {
-        // Every node mobile: far over the moved-fraction budget, so the
-        // incremental path must never engage even when enabled.
-        let mut net = NetworkBuilder::new(40)
-            .mobile_fraction(1.0)
-            .mobile_battery(BatteryModel::Mains)
-            .min_initial_reachability(0.0)
-            .build(3)
-            .unwrap();
-        for _ in 0..10 {
-            net.advance();
-        }
-        assert_eq!(net.stats().grid_incremental_updates, 0);
     }
 
     #[test]

@@ -8,16 +8,13 @@
 //!
 //! Cell contents live in flat CSR arrays (`starts` + `entries`), not
 //! per-cell `Vec`s: one contiguous allocation, no per-bucket headers, and
-//! a layout that a sharded rebuild can assemble deterministically. Within
-//! every cell, entries are ascending point indices — the invariant all
-//! three construction paths (sequential counting sort, sharded
-//! accumulate-and-merge, incremental splice) preserve, which is why they
-//! are byte-for-byte interchangeable.
+//! a layout one counting sort fills in a single scatter pass. The sort is
+//! stable, so within every cell entries are ascending point indices.
 //!
 //! Cells are numbered row-major, so the cells of one grid row that a
 //! query disc's bounding box covers form a single contiguous CSR range.
-//! Every index update also refreshes `xs`/`ys`, the points' coordinates
-//! in that same cell order: an exact range query
+//! Every rebuild also refreshes `xs`/`ys`, the points' coordinates in
+//! that same cell order: an exact range query
 //! ([`SpatialGrid::for_each_within`]) is then a scan of two or three
 //! flat coordinate slices instead of a gather from point-index order.
 
@@ -64,27 +61,6 @@ impl fmt::Display for GridError {
 
 impl Error for GridError {}
 
-/// Reusable rebuild scratch: per-shard tables plus the incremental-splice
-/// double buffers. Warmed on first use, allocation-free afterwards.
-#[derive(Clone, Debug, Default)]
-struct GridScratch {
-    /// Per-shard cell histograms (phase A), reused in place as local
-    /// run cursors (phase C) and run boundaries (phase D).
-    shard_hist: Vec<Vec<u32>>,
-    /// Per-shard locally sorted entries (phase C).
-    shard_entries: Vec<Vec<u32>>,
-    /// Sequential counting-sort cursor.
-    cursor: Vec<u32>,
-    /// Incremental splice: output double buffers.
-    out_entries: Vec<u32>,
-    out_starts: Vec<u32>,
-    out_xs: Vec<f64>,
-    out_ys: Vec<f64>,
-    /// Incremental splice: `(cell, index)` edits, sorted before merging.
-    removals: Vec<(u32, u32)>,
-    insertions: Vec<(u32, u32)>,
-}
-
 /// A uniform grid over an arena, bucketing point indices by cell, with
 /// the points' coordinates stored alongside in cell order for exact
 /// range queries.
@@ -110,9 +86,6 @@ pub struct SpatialGrid {
     arena: Rect,
     /// Effective (possibly coarsened) cell side.
     cell: f64,
-    /// Cell side the last rebuild asked for, before any coarsening —
-    /// the incremental path's geometry-stability check.
-    requested_cell: f64,
     cols: usize,
     rows: usize,
     /// CSR row starts, length `cols * rows + 1`.
@@ -123,13 +96,13 @@ pub struct SpatialGrid {
     xs: Vec<f64>,
     /// Point y coordinates, parallel to `entries` (cell order).
     ys: Vec<f64>,
-    /// Cached cell id per point — what the incremental path diffs
-    /// against instead of re-deriving every point's cell.
+    /// Counting-sort scratch: the cell id of every point.
     cell_of: Vec<u32>,
+    /// Counting-sort scratch: the next free slot of every cell.
+    cursor: Vec<u32>,
     /// Rebuilds that had to coarsen the requested cell size to keep the
     /// cell table allocatable — see [`SpatialGrid::clamp_events`].
     clamp_events: u64,
-    scratch: GridScratch,
 }
 
 impl SpatialGrid {
@@ -151,7 +124,6 @@ impl SpatialGrid {
         let mut grid = SpatialGrid {
             arena,
             cell: 1.0,
-            requested_cell: 1.0,
             cols: 1,
             rows: 1,
             starts: vec![0, 0],
@@ -159,8 +131,8 @@ impl SpatialGrid {
             xs: Vec::new(),
             ys: Vec::new(),
             cell_of: Vec::new(),
+            cursor: Vec::new(),
             clamp_events: 0,
-            scratch: GridScratch::default(),
         };
         grid.rebuild(arena, cell_size, points)?;
         Ok(grid)
@@ -185,8 +157,11 @@ impl SpatialGrid {
     /// Re-indexes the grid in place over possibly new geometry, reusing
     /// all storage — the steady-state path of
     /// [`crate::WirelessNetwork::advance`], which would otherwise
-    /// reallocate the index every step. Equivalent to
-    /// [`Self::rebuild_sharded`] with one shard.
+    /// reallocate the index every step.
+    ///
+    /// One counting sort, stable in point index: a histogram of cell
+    /// ids, a prefix sum into CSR starts, and one scatter pass. Entries
+    /// are therefore ascending within every cell.
     ///
     /// Returns `true` when **this** rebuild had to coarsen the cell size
     /// (see [`Self::clamp_events`]) — a per-call flag, so callers
@@ -204,34 +179,6 @@ impl SpatialGrid {
         cell_size: f64,
         points: &[Point2],
     ) -> Result<bool, GridError> {
-        self.rebuild_sharded(arena, cell_size, points, 1)
-    }
-
-    /// [`Self::rebuild`] with the per-point work fanned out over
-    /// `shards` contiguous point-index slices.
-    ///
-    /// Phases: (A) each shard derives cell ids and a cell histogram for
-    /// its slice in parallel; (B) one sequential prefix-sum pass turns
-    /// the histograms into global CSR starts; (C) each shard
-    /// counting-sorts its own slice locally in parallel; (D) a
-    /// deterministic index-ordered merge concatenates the shard runs of
-    /// every cell in shard order. Because shards are *contiguous
-    /// ascending* index ranges, shard-order concatenation within a cell
-    /// is exactly ascending point order — the same layout the
-    /// sequential counting sort produces — so the resulting CSR arrays
-    /// are **byte-identical at every shard count**.
-    ///
-    /// # Errors
-    ///
-    /// [`GridError`] on degenerate geometry, exactly as [`Self::rebuild`].
-    #[agentnet::hot_path]
-    pub fn rebuild_sharded(
-        &mut self,
-        arena: Rect,
-        cell_size: f64,
-        points: &[Point2],
-        shards: usize,
-    ) -> Result<bool, GridError> {
         Self::validate(arena, cell_size)?;
         debug_assert!(points.len() < u32::MAX as usize, "CSR entries are u32 point indices");
         let mut cell = cell_size;
@@ -248,30 +195,12 @@ impl SpatialGrid {
             self.clamp_events += 1;
         }
         self.arena = arena;
-        self.requested_cell = cell_size;
         self.cell = cell;
         self.cols = cols;
         self.rows = rows;
-        let n = points.len();
-        let shards = shards.clamp(1, n.max(1));
-        self.xs.resize(n, 0.0);
-        self.ys.resize(n, 0.0);
-        if shards <= 1 {
-            self.index_sequential(points);
-        } else {
-            self.index_sharded(points, shards);
-        }
-        gather_coords(&mut self.xs, &mut self.ys, &self.entries, points);
-        Ok(clamped)
-    }
-
-    /// Sequential CSR construction: one counting sort, stable in point
-    /// index — the layout every other construction path reproduces.
-    #[agentnet::hot_path]
-    fn index_sequential(&mut self, points: &[Point2]) {
         // `cols * rows` cannot overflow: the clamp loop bounded it.
-        let cells = self.cols * self.rows;
-        let (min, cell, cols, rows) = (self.arena.origin(), self.cell, self.cols, self.rows);
+        let cells = cols * rows;
+        let min = arena.origin();
         self.cell_of.clear();
         self.cell_of.extend(points.iter().map(|&p| Self::cell_id(p, min, cell, cols, rows) as u32));
         self.starts.clear();
@@ -286,274 +215,22 @@ impl SpatialGrid {
             acc += *s;
             *s = acc;
         }
-        let cursor = &mut self.scratch.cursor;
-        cursor.clear();
-        cursor.extend(self.starts.iter().take(cells).copied());
+        self.cursor.clear();
+        self.cursor.extend(self.starts.iter().take(cells).copied());
         self.entries.clear();
         self.entries.resize(points.len(), 0);
         for (i, &c) in self.cell_of.iter().enumerate() {
-            let Some(cur) = cursor.get_mut(c as usize) else { continue };
+            let Some(cur) = self.cursor.get_mut(c as usize) else { continue };
             let slot = *cur as usize;
             *cur += 1;
             if let Some(e) = self.entries.get_mut(slot) {
                 *e = i as u32;
             }
         }
-    }
-
-    /// Sharded CSR construction (phases A–D; see
-    /// [`Self::rebuild_sharded`] for the determinism argument).
-    #[agentnet::hot_path]
-    fn index_sharded(&mut self, points: &[Point2], shards: usize) {
-        let cells = self.cols * self.rows;
-        let n = points.len();
-        let chunk = n.div_ceil(shards);
-        let nshards = n.div_ceil(chunk.max(1));
-        let (min, cell, cols, rows) = (self.arena.origin(), self.cell, self.cols, self.rows);
-        if self.scratch.shard_hist.len() < nshards {
-            // Warm-up only: the per-shard tables are reused forever after.
-            // agentlint::allow(no-alloc-in-hot-path)
-            self.scratch.shard_hist.resize_with(nshards, Vec::new);
-            // agentlint::allow(no-alloc-in-hot-path)
-            self.scratch.shard_entries.resize_with(nshards, Vec::new);
-        }
-        self.cell_of.clear();
-        self.cell_of.resize(n, 0);
-
-        // Phase A (parallel): per-shard cell ids + cell histograms over
-        // disjoint contiguous slices.
-        std::thread::scope(|scope| {
-            for ((pts, ids), hist) in points
-                .chunks(chunk)
-                .zip(self.cell_of.chunks_mut(chunk))
-                .zip(&mut self.scratch.shard_hist)
-            {
-                scope.spawn(move || {
-                    hist.clear();
-                    hist.resize(cells, 0);
-                    for (&p, id) in pts.iter().zip(ids) {
-                        let c = Self::cell_id(p, min, cell, cols, rows);
-                        *id = c as u32;
-                        if let Some(h) = hist.get_mut(c) {
-                            *h += 1;
-                        }
-                    }
-                });
-            }
-        });
-
-        // Phase B (sequential): global CSR starts = prefix sum of the
-        // per-cell counts summed across shards.
-        self.starts.clear();
-        self.starts.resize(cells + 1, 0);
-        for hist in self.scratch.shard_hist.iter().take(nshards) {
-            for (s, &h) in self.starts.iter_mut().skip(1).zip(hist) {
-                *s += h;
-            }
-        }
-        let mut acc = 0u32;
-        for s in &mut self.starts {
-            acc += *s;
-            *s = acc;
-        }
-
-        // Phase C (parallel): each shard counting-sorts its slice into a
-        // local entry array. The histogram is prefix-summed in place
-        // into run cursors; after the scatter, `hist[c]` holds the end
-        // of cell `c`'s local run — exactly what the merge needs.
-        std::thread::scope(|scope| {
-            for (k, ((ids, hist), local)) in self
-                .cell_of
-                .chunks(chunk)
-                .zip(&mut self.scratch.shard_hist)
-                .zip(&mut self.scratch.shard_entries)
-                .enumerate()
-            {
-                let offset = k * chunk;
-                scope.spawn(move || {
-                    let mut acc = 0u32;
-                    for h in hist.iter_mut() {
-                        let count = *h;
-                        *h = acc;
-                        acc += count;
-                    }
-                    local.clear();
-                    local.resize(ids.len(), 0);
-                    for (i, &c) in ids.iter().enumerate() {
-                        let Some(cur) = hist.get_mut(c as usize) else { continue };
-                        let slot = *cur as usize;
-                        *cur += 1;
-                        if let Some(e) = local.get_mut(slot) {
-                            *e = (offset + i) as u32;
-                        }
-                    }
-                });
-            }
-        });
-
-        // Phase D (sequential): index-ordered merge — for every cell,
-        // concatenate the shard runs in shard order.
-        self.entries.clear();
-        self.entries.reserve(n);
-        for c in 0..cells {
-            for (hist, local) in
-                self.scratch.shard_hist.iter().zip(&self.scratch.shard_entries).take(nshards)
-            {
-                let end = hist.get(c).copied().unwrap_or(0) as usize;
-                let start = if c == 0 { 0 } else { hist.get(c - 1).copied().unwrap_or(0) as usize };
-                if let Some(run) = local.get(start..end) {
-                    self.entries.extend_from_slice(run);
-                }
-            }
-        }
-    }
-
-    /// Incremental maintenance: moves the points listed in `moved`
-    /// between cells instead of rebuilding from scratch. `moved` must
-    /// contain every index whose position changed since the last
-    /// (re)build (extra never-moved or duplicated indices are
-    /// harmless).
-    ///
-    /// Returns `false` — leaving the grid **unchanged** — when the
-    /// incremental precondition does not hold: different arena, a
-    /// different requested cell size, a coarsened (clamped) grid, a
-    /// changed point count, or an out-of-range index. Callers fall back
-    /// to a full rebuild. (A clamped grid always takes the full-rebuild
-    /// path so the per-rebuild clamp accounting stays identical whether
-    /// or not the incremental path is enabled.)
-    ///
-    /// On success the CSR arrays are byte-identical to what a full
-    /// [`Self::rebuild`] over `points` would produce: unchanged cell
-    /// runs are block-copied, and each edited cell merges its surviving
-    /// entries with the insertions in ascending index order. The
-    /// coordinate columns follow the splice, and the cell of every moved
-    /// point is then re-gathered.
-    #[agentnet::hot_path]
-    pub fn incremental_update(
-        &mut self,
-        arena: Rect,
-        cell_size: f64,
-        points: &[Point2],
-        moved: &[usize],
-    ) -> bool {
-        let n = self.cell_of.len();
-        let applicable = arena == self.arena
-            && cell_size == self.requested_cell
-            && self.cell == self.requested_cell
-            && points.len() == n
-            && moved.iter().all(|&i| i < n);
-        if !applicable {
-            return false;
-        }
-        let (min, cell, cols, rows) = (self.arena.origin(), self.cell, self.cols, self.rows);
-        self.scratch.removals.clear();
-        self.scratch.insertions.clear();
-        for &i in moved {
-            let Some(&p) = points.get(i) else { continue };
-            let new_cell = Self::cell_id(p, min, cell, cols, rows) as u32;
-            let Some(old_cell) = self.cell_of.get_mut(i) else { continue };
-            if *old_cell != new_cell {
-                self.scratch.removals.push((*old_cell, i as u32));
-                self.scratch.insertions.push((new_cell, i as u32));
-                *old_cell = new_cell;
-            }
-        }
-        // With no removals every move stayed within its cell: the CSR
-        // is already exactly what a full rebuild would produce.
-        if !self.scratch.removals.is_empty() {
-            self.scratch.removals.sort_unstable();
-            self.scratch.insertions.sort_unstable();
-            self.splice_edits(points);
-        }
-        // A move within its cell leaves the CSR as it is but stales the
-        // moved point's coordinates.
-        for &i in moved {
-            let Some(&c) = self.cell_of.get(i) else { continue };
-            let lo = self.starts.get(c as usize).copied().unwrap_or(0) as usize;
-            let hi = self.starts.get(c as usize + 1).copied().unwrap_or(0) as usize;
-            if let (Some(xs), Some(ys), Some(es)) =
-                (self.xs.get_mut(lo..hi), self.ys.get_mut(lo..hi), self.entries.get(lo..hi))
-            {
-                gather_coords(xs, ys, es, points);
-            }
-        }
-        true
-    }
-
-    /// Applies the sorted removal/insertion lists in one pass over the
-    /// CSR arrays: each span of untouched cells between two edited cells
-    /// is block-copied (its starts shifted by the running size change)
-    /// with its coordinates, and each edited cell is re-merged in
-    /// ascending index order with its coordinates gathered from
-    /// `points`.
-    #[agentnet::hot_path]
-    fn splice_edits(&mut self, points: &[Point2]) {
-        let cells = self.cols * self.rows;
-        let GridScratch { out_entries, out_starts, out_xs, out_ys, removals, insertions, .. } =
-            &mut self.scratch;
-        out_entries.clear();
-        out_entries.reserve(self.entries.len());
-        out_xs.clear();
-        out_xs.reserve(self.xs.len());
-        out_ys.clear();
-        out_ys.reserve(self.ys.len());
-        out_starts.clear();
-        out_starts.reserve(cells + 1);
-        let start = |c: usize| self.starts.get(c).copied().unwrap_or(0);
-        let mut rem = removals.iter().peekable();
-        let mut ins = insertions.iter().peekable();
-        // First cell not yet written to the output.
-        let mut next = 0usize;
-        loop {
-            let edited = match (rem.peek(), ins.peek()) {
-                (Some(&&(rc, _)), Some(&&(ic, _))) => rc.min(ic),
-                (Some(&&(c, _)), None) | (None, Some(&&(c, _))) => c,
-                (None, None) => cells as u32,
-            };
-            let c = edited as usize;
-            // Untouched cells `next..c`: one block copy.
-            let (old_lo, old_hi, out_lo) = (start(next), start(c), out_entries.len() as u32);
-            out_starts.extend(
-                self.starts.get(next..c).unwrap_or(&[]).iter().map(|&s| s - old_lo + out_lo),
-            );
-            let (lo, hi) = (old_lo as usize, old_hi as usize);
-            out_entries.extend_from_slice(self.entries.get(lo..hi).unwrap_or(&[]));
-            out_xs.extend_from_slice(self.xs.get(lo..hi).unwrap_or(&[]));
-            out_ys.extend_from_slice(self.ys.get(lo..hi).unwrap_or(&[]));
-            out_starts.push(out_entries.len() as u32);
-            if c >= cells {
-                break;
-            }
-            let (lo, hi) = (start(c) as usize, start(c + 1) as usize);
-            let out_lo = out_entries.len();
-            for &e in self.entries.get(lo..hi).unwrap_or(&[]) {
-                if rem.next_if(|&&(rc, ri)| rc == edited && ri == e).is_some() {
-                    continue;
-                }
-                while let Some(&(_, idx)) = ins.next_if(|&&(ic, idx)| ic == edited && idx < e) {
-                    out_entries.push(idx);
-                }
-                out_entries.push(e);
-            }
-            while let Some(&(_, idx)) = ins.next_if(|&&(ic, _)| ic == edited) {
-                out_entries.push(idx);
-            }
-            // A removal naming an index absent from the run cannot
-            // happen, but must not stall the loop on this cell.
-            while rem.next_if(|&&(rc, _)| rc == edited).is_some() {}
-            out_xs.resize(out_entries.len(), 0.0);
-            out_ys.resize(out_entries.len(), 0.0);
-            if let (Some(xs), Some(ys), Some(es)) =
-                (out_xs.get_mut(out_lo..), out_ys.get_mut(out_lo..), out_entries.get(out_lo..))
-            {
-                gather_coords(xs, ys, es, points);
-            }
-            next = c + 1;
-        }
-        std::mem::swap(&mut self.entries, out_entries);
-        std::mem::swap(&mut self.starts, out_starts);
-        std::mem::swap(&mut self.xs, out_xs);
-        std::mem::swap(&mut self.ys, out_ys);
+        self.xs.resize(points.len(), 0.0);
+        self.ys.resize(points.len(), 0.0);
+        gather_coords(&mut self.xs, &mut self.ys, &self.entries, points);
+        Ok(clamped)
     }
 
     /// `true` when a `cols x rows` cell table would overflow `usize`
@@ -705,7 +382,7 @@ impl SpatialGrid {
     /// The flat CSR cell arrays `(starts, entries)`: cell `c` holds the
     /// point indices `entries[starts[c]..starts[c+1]]`, ascending.
     /// Exposed so differential tests and the validation battery can
-    /// assert byte-identical grid contents across construction paths.
+    /// assert byte-identical grid contents across rebuilds.
     pub fn flat_cells(&self) -> (&[u32], &[u32]) {
         (&self.starts, &self.entries)
     }
@@ -1001,118 +678,5 @@ mod tests {
             let run = &entries[starts[w] as usize..starts[w + 1] as usize];
             assert!(run.windows(2).all(|p| p[0] < p[1]), "cell {w} run not ascending: {run:?}");
         }
-    }
-
-    fn scattered_points(n: usize, arena: Rect) -> Vec<Point2> {
-        // Deterministic pseudo-random scatter (LCG), including a few
-        // out-of-arena strays that must clamp consistently.
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        (0..n)
-            .map(|_| {
-                let mut next = || {
-                    state =
-                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    (state >> 11) as f64 / (1u64 << 53) as f64
-                };
-                let x = arena.min_x() + (next() * 1.2 - 0.1) * arena.width;
-                let y = arena.min_y() + (next() * 1.2 - 0.1) * arena.height;
-                Point2::new(x, y)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sharded_rebuild_is_byte_identical_to_sequential() {
-        let arena = Rect::anchored(Point2::new(-40.0, 25.0), 300.0, 200.0);
-        let pts = scattered_points(500, arena);
-        let baseline = build(arena, 7.0, &pts);
-        for shards in [1, 2, 3, 7, 16, 499, 500, 900] {
-            let mut g = build(arena, 31.0, &[]);
-            g.rebuild_sharded(arena, 7.0, &pts, shards).expect("valid geometry");
-            assert_eq!(
-                g.flat_cells(),
-                baseline.flat_cells(),
-                "CSR contents differ at {shards} shards"
-            );
-            assert_eq!(g.cell_count(), baseline.cell_count());
-        }
-    }
-
-    #[test]
-    fn incremental_update_matches_full_rebuild() {
-        let arena = Rect::square(100.0);
-        let mut pts = scattered_points(300, arena);
-        let mut g = build(arena, 9.0, &pts);
-        // Several rounds of sparse movement, including cell-crossing
-        // hops, within-cell jitter, and out-of-arena clamping.
-        for round in 0..8 {
-            let moved: Vec<usize> = (round % 7..300).step_by(7).collect();
-            for &i in &moved {
-                let p = &mut pts[i];
-                p.x += if round % 2 == 0 { 13.0 } else { -13.0 };
-                p.y += 0.25;
-            }
-            assert!(
-                g.incremental_update(arena, 9.0, &pts, &moved),
-                "round {round}: incremental path must apply"
-            );
-            let full = build(arena, 9.0, &pts);
-            assert_eq!(g.flat_cells(), full.flat_cells(), "round {round} diverged");
-        }
-    }
-
-    #[test]
-    fn incremental_update_refuses_changed_geometry() {
-        let arena = Rect::square(100.0);
-        let pts = scattered_points(50, arena);
-        let mut g = build(arena, 9.0, &pts);
-        assert!(!g.incremental_update(arena, 8.0, &pts, &[]), "cell size changed");
-        assert!(!g.incremental_update(Rect::square(90.0), 9.0, &pts, &[]), "arena changed");
-        assert!(!g.incremental_update(arena, 9.0, &pts[..49], &[]), "point count changed");
-        assert!(!g.incremental_update(arena, 9.0, &pts, &[50]), "index out of range");
-        // And still applies when nothing is wrong.
-        assert!(g.incremental_update(arena, 9.0, &pts, &[0]));
-    }
-
-    #[test]
-    fn duplicated_moved_indices_record_each_edit_once() {
-        // The eager `cell_of` update makes a duplicated index a no-op on
-        // its later occurrences — it must not remove or insert twice.
-        let arena = Rect::square(100.0);
-        let mut pts: Vec<Point2> =
-            (0..20).map(|i| Point2::new(5.0 + 4.0 * (i as f64), 50.0)).collect();
-        let mut g = build(arena, 10.0, &pts);
-        pts[3] = Point2::new(85.0, 50.0);
-        assert!(g.incremental_update(arena, 10.0, &pts, &[3, 3, 7, 7, 3]));
-        let full = build(arena, 10.0, &pts);
-        assert_eq!(g.flat_cells(), full.flat_cells());
-    }
-
-    #[test]
-    fn incremental_update_refuses_clamped_grids() {
-        // A clamped grid coarsened its cell size; the incremental path
-        // must defer to the full rebuild so clamp accounting matches.
-        let arena = Rect::new(1e12, 1e12);
-        let pts = vec![Point2::new(1.0, 1.0)];
-        let mut g = build(arena, 1e-3, &pts);
-        assert_eq!(g.clamp_events(), 1);
-        assert!(!g.incremental_update(arena, 1e-3, &pts, &[0]));
-    }
-
-    #[test]
-    fn incremental_update_on_shifted_arena_moves_by_relative_position() {
-        // Regression guard for the incremental path on non-origin
-        // arenas: a move near the min corner must re-bucket relative to
-        // the origin, not absolutely.
-        let arena = Rect::anchored(Point2::new(500.0, -200.0), 100.0, 100.0);
-        let mut pts = vec![Point2::new(505.0, -195.0), Point2::new(595.0, -105.0)];
-        let mut g = build(arena, 10.0, &pts);
-        pts[0] = Point2::new(525.0, -175.0); // two cells over, still near the min corner
-        assert!(g.incremental_update(arena, 10.0, &pts, &[0]));
-        let full = build(arena, 10.0, &pts);
-        assert_eq!(g.flat_cells(), full.flat_cells());
-        let around: Vec<usize> = g.candidates_within(pts[0], 5.0).collect();
-        assert!(around.contains(&0));
-        assert!(!around.contains(&1), "far corner must not become a candidate after the move");
     }
 }

@@ -75,14 +75,15 @@ proptest! {
     }
 
     /// The exact range query reads the grid's cell-ordered coordinate
-    /// columns; after a sequential or sharded rebuild and after an
-    /// incremental update it must return exactly the points the
-    /// distance predicate accepts, for radii from zero to several cells.
+    /// columns; after a build and after an in-place rebuild of the same
+    /// grid over moved points at a different cell size it must return
+    /// exactly the points the distance predicate accepts, for radii from
+    /// zero to several cells.
     #[test]
     fn grid_exact_query_matches_brute_force(
         width in 10.0f64..200.0,
         cell in 1.0f64..40.0,
-        shards in 1usize..5,
+        recell in 1.0f64..40.0,
         points in proptest::collection::vec((-0.2f64..1.2, -0.2f64..1.2), 0..80),
         moves in proptest::collection::vec((0usize..80, -0.3f64..0.3, -0.3f64..0.3), 0..12),
         queries in proptest::collection::vec((-0.2f64..1.2, -0.2f64..1.2, 0.0f64..3.0), 1..8),
@@ -92,7 +93,7 @@ proptest! {
             .iter()
             .map(|&(fx, fy)| Point2::new(fx * width, fy * width * 0.7))
             .collect();
-        let check = |grid: &SpatialGrid, points: &[Point2]| -> Result<(), TestCaseError> {
+        let check = |grid: &SpatialGrid, cell: f64, points: &[Point2]| {
             for &(fx, fy, cells) in &queries {
                 let center = Point2::new(fx * width, fy * width * 0.7);
                 let radius = cells * cell;
@@ -104,20 +105,17 @@ proptest! {
                     .collect();
                 prop_assert_eq!(found, expected, "center {} radius {}", center, radius);
             }
-            Ok(())
+            Ok::<(), TestCaseError>(())
         };
-        let mut grid = SpatialGrid::build(arena, cell, &[]).expect("finite geometry");
-        grid.rebuild_sharded(arena, cell, &points, shards).expect("finite geometry");
-        check(&grid, &points)?;
-        let mut moved = Vec::new();
+        let mut grid = SpatialGrid::build(arena, cell, &points).expect("finite geometry");
+        check(&grid, cell, &points)?;
         for &(i, dx, dy) in &moves {
             if let Some(p) = points.get_mut(i) {
                 *p = Point2::new(p.x + dx * width, p.y + dy * width);
-                moved.push(i);
             }
         }
-        prop_assert!(grid.incremental_update(arena, cell, &points, &moved));
-        check(&grid, &points)?;
+        grid.rebuild(arena, recell, &points).expect("finite geometry");
+        check(&grid, recell, &points)?;
     }
 
     #[test]
@@ -269,101 +267,6 @@ proptest! {
             prop_assert_eq!(sharded.grid_cells(), sequential.grid_cells());
         }
         prop_assert_eq!(sharded.nodes(), sequential.nodes());
-    }
-
-    /// Grid-level shard invariance: the sharded rebuild's CSR arrays are
-    /// byte-identical to the sequential counting sort at every shard
-    /// count, over random geometry including out-of-arena strays.
-    #[test]
-    fn grid_rebuild_is_shard_invariant(
-        width in 10.0f64..300.0,
-        height in 10.0f64..300.0,
-        cell in 1.0f64..40.0,
-        shards in 1usize..12,
-        points in proptest::collection::vec((-0.2f64..1.2, -0.2f64..1.2), 0..120),
-    ) {
-        let arena = Rect::new(width, height);
-        let points: Vec<Point2> = points
-            .iter()
-            .map(|&(fx, fy)| Point2::new(fx * width, fy * height))
-            .collect();
-        let sequential = SpatialGrid::build(arena, cell, &points).expect("finite geometry");
-        let mut sharded = SpatialGrid::build(arena, cell, &[]).expect("finite geometry");
-        sharded.rebuild_sharded(arena, cell, &points, shards).expect("finite geometry");
-        prop_assert_eq!(sharded.flat_cells(), sequential.flat_cells());
-    }
-
-    /// Grid-level incremental == full: random sparse moves spliced into
-    /// the grid yield exactly the CSR arrays a from-scratch rebuild
-    /// over the moved points produces.
-    #[test]
-    fn grid_incremental_update_matches_full_rebuild(
-        width in 20.0f64..300.0,
-        cell in 2.0f64..40.0,
-        points in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..100),
-        moves in proptest::collection::vec((0usize..100, -0.4f64..0.4, -0.4f64..0.4), 0..20),
-    ) {
-        let arena = Rect::square(width);
-        let mut points: Vec<Point2> = points
-            .iter()
-            .map(|&(fx, fy)| Point2::new(fx * width, fy * width))
-            .collect();
-        let mut grid = SpatialGrid::build(arena, cell, &points).expect("finite geometry");
-        let mut moved = Vec::new();
-        for &(i, dx, dy) in &moves {
-            if i < points.len() {
-                points[i] = Point2::new(points[i].x + dx * width, points[i].y + dy * width);
-                moved.push(i);
-            }
-        }
-        prop_assert!(grid.incremental_update(arena, cell, &points, &moved));
-        let full = SpatialGrid::build(arena, cell, &points).expect("finite geometry");
-        prop_assert_eq!(grid.flat_cells(), full.flat_cells());
-    }
-
-    /// Network-level differential: with incremental grid maintenance on
-    /// vs off (and any shard count), grid contents, links and
-    /// `topology_version` stay byte-identical every step; the only stat
-    /// allowed to differ is the `grid_incremental_updates` counter
-    /// itself.
-    #[test]
-    fn incremental_grid_toggle_is_byte_identical(
-        seed in 0u64..48,
-        nodes in 2usize..80,
-        shards_raw in 0usize..4,
-        mobile in 0.0f64..0.2,
-        steps in 1usize..20,
-    ) {
-        let shards = shards_raw + 1;
-        let build = |incremental: bool| {
-            NetworkBuilder::new(nodes)
-                .gateways((nodes / 10).min(3))
-                .mobile_fraction(mobile)
-                // Mains power everywhere keeps the max range constant,
-                // which is the regime where the incremental path can
-                // actually engage (a range drift forces full rebuilds).
-                .mobile_battery(BatteryModel::Mains)
-                .min_initial_reachability(0.0)
-                .advance_shards(shards)
-                .grid_incremental(incremental)
-                .build(seed)
-                .unwrap()
-        };
-        let mut with_inc = build(true);
-        let mut without = build(false);
-        for _ in 0..steps {
-            with_inc.advance();
-            without.advance();
-            prop_assert_eq!(with_inc.grid_cells(), without.grid_cells());
-            prop_assert_eq!(with_inc.links(), without.links());
-            prop_assert_eq!(with_inc.topology_version(), without.topology_version());
-            let mut a = with_inc.stats();
-            let b = without.stats();
-            prop_assert_eq!(b.grid_incremental_updates, 0);
-            a.grid_incremental_updates = 0;
-            prop_assert_eq!(a, b);
-        }
-        prop_assert_eq!(with_inc.nodes(), without.nodes());
     }
 
     /// Differential check of the whole link pipeline: after every
